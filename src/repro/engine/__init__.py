@@ -1,8 +1,9 @@
 """Physical execution engine.
 
-Operators form a tree; ``execute(ctx)`` runs the tree over the database
+Operators form a tree; ``ctx.run(plan)`` runs the tree over the database
 and records *work counters* (pages scanned, random I/Os, rows hashed,
-index entries touched). The cost model converts counters into a
+index entries touched) plus a per-operator :class:`ExecutionProfile`
+(rows out, work and wall time of every operator, from that one run). The cost model converts counters into a
 deterministic simulated execution time using the same coefficients the
 optimizer uses for cost estimates, so "actual" time is exactly the cost
 function evaluated at actual cardinalities — the setting analyzed in
@@ -11,7 +12,13 @@ Section 5 of the paper.
 
 from repro.engine import kernels
 from repro.engine.counters import WorkCounters
-from repro.engine.context import ExecOptions, ExecutionContext
+from repro.engine.context import (
+    ExecOptions,
+    ExecutionContext,
+    ExecutionProfile,
+    OperatorRun,
+    run_plan,
+)
 from repro.engine.scancache import ScanCache
 from repro.engine.base import PhysicalOperator
 from repro.engine.scans import IndexIntersect, IndexSeek, IndexUnionSeek, SeqScan
@@ -25,6 +32,7 @@ __all__ = [
     "AggregateSpec",
     "ExecOptions",
     "ExecutionContext",
+    "ExecutionProfile",
     "Filter",
     "HashAggregate",
     "HashJoin",
@@ -35,6 +43,7 @@ __all__ = [
     "Limit",
     "MergeJoin",
     "NonEquiJoin",
+    "OperatorRun",
     "PhysicalOperator",
     "Project",
     "ScanCache",
@@ -43,4 +52,5 @@ __all__ = [
     "StarSemiJoin",
     "WorkCounters",
     "kernels",
+    "run_plan",
 ]

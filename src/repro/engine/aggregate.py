@@ -64,7 +64,7 @@ class HashAggregate(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        frame = self.child.execute(ctx)
+        frame = ctx.run(self.child)
         ctx.counters.cpu_rows += frame.num_rows
         if not self.group_by:
             result = self._scalar(frame)

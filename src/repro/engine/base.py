@@ -11,8 +11,9 @@ from repro.engine.context import ExecutionContext
 class PhysicalOperator:
     """A node in a physical plan tree.
 
-    Subclasses implement :meth:`execute`, consuming child frames and
-    charging work into ``ctx.counters``. Operators are stateless across
+    Subclasses implement :meth:`execute`, running each child through
+    ``ctx.run(child)`` (which records the child's profile) and charging
+    their own work into ``ctx.counters``. Operators are stateless across
     executions, so a subtree may be shared between alternative plans
     during optimization.
 

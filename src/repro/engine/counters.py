@@ -9,6 +9,7 @@ execution deterministic and lets tests assert on the work itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 
 @dataclass
@@ -61,3 +62,25 @@ class WorkCounters:
     def copy(self) -> "WorkCounters":
         """An independent copy of the current totals."""
         return WorkCounters(**self.as_dict())
+
+    def snapshot(self) -> tuple:
+        """The current totals as a tuple in :data:`COUNTER_FIELDS` order.
+
+        The cheap form the execution profile records twice per operator.
+        """
+        return _snapshot(self)
+
+    @classmethod
+    def between(cls, before: tuple, after: tuple) -> "WorkCounters":
+        """The work charged between two :meth:`snapshot` tuples."""
+        return cls(*(end - start for start, end in zip(before, after)))
+
+    def subtract(self, other: "WorkCounters") -> None:
+        """Remove ``other`` from this counter set, in place."""
+        for name in COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) - getattr(other, name))
+
+
+#: Counter names in declaration order (the order of every snapshot).
+COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(WorkCounters))
+_snapshot = attrgetter(*COUNTER_FIELDS)

@@ -40,8 +40,8 @@ class HashJoin(PhysicalOperator):
         return [self.build, self.probe]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        build_frame = self.build.execute(ctx)
-        probe_frame = self.probe.execute(ctx)
+        build_frame = ctx.run(self.build)
+        probe_frame = ctx.run(self.probe)
         ctx.counters.hash_build_rows += build_frame.num_rows
         ctx.counters.hash_probe_rows += probe_frame.num_rows
         build_idx, probe_idx = match_keys(
@@ -80,8 +80,8 @@ class MergeJoin(PhysicalOperator):
         return [self.left, self.right]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        left_frame = self.left.execute(ctx)
-        right_frame = self.right.execute(ctx)
+        left_frame = ctx.run(self.left)
+        right_frame = ctx.run(self.right)
         ctx.counters.merge_rows += left_frame.num_rows + right_frame.num_rows
         left_idx, right_idx = match_keys(
             left_frame.column(self.left_key), right_frame.column(self.right_key)
@@ -142,8 +142,8 @@ class NonEquiJoin(PhysicalOperator):
         return [self.left, self.right]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        left_frame = self.left.execute(ctx)
-        right_frame = self.right.execute(ctx)
+        left_frame = ctx.run(self.left)
+        right_frame = ctx.run(self.right)
         left_values = left_frame.column(self.left_column)
         right_values = right_frame.column(self.right_column)
         n_left, n_right = left_frame.num_rows, right_frame.num_rows
@@ -213,7 +213,7 @@ class IndexedNLJoin(PhysicalOperator):
         return [self.outer]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        outer_frame = self.outer.execute(ctx)
+        outer_frame = ctx.run(self.outer)
         inner = ctx.database.table(self.inner_table)
         index = ctx.database.sorted_index(self.inner_table, self.inner_column)
         if index is None:

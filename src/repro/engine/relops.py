@@ -20,7 +20,7 @@ class Filter(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        frame = self.child.execute(ctx)
+        frame = ctx.run(self.child)
         ctx.counters.cpu_rows += frame.num_rows
         result = frame.mask(self.predicate.evaluate(frame))
         ctx.counters.rows_output += result.num_rows
@@ -41,7 +41,7 @@ class Project(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        frame = self.child.execute(ctx)
+        frame = ctx.run(self.child)
         return frame.select(self.columns)
 
     def label(self) -> str:

@@ -59,7 +59,7 @@ class Sort(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        frame = self.child.execute(ctx)
+        frame = ctx.run(self.child)
         ctx.counters.sort_comparisons += sort_work(frame.num_rows)
         columns = [frame.column(key) for key in reversed(self.keys)]
         order = kernels.lexsort_stable(columns)
@@ -82,7 +82,7 @@ class Limit(PhysicalOperator):
         return [self.child]
 
     def execute(self, ctx: ExecutionContext) -> Frame:
-        frame = self.child.execute(ctx)
+        frame = ctx.run(self.child)
         if frame.num_rows <= self.count:
             return frame
         return frame.take(np.arange(self.count))

@@ -25,7 +25,7 @@ from typing import Sequence
 from repro.analysis.tradeoff import TradeoffPoint, tradeoff_from_times
 from repro.catalog import Database
 from repro.cost import CostModel
-from repro.engine import ExecutionContext
+from repro.engine import run_plan
 from repro.core import RobustCardinalityEstimator
 from repro.errors import ReproError
 from repro.optimizer import Optimizer, SPJQuery
@@ -83,8 +83,7 @@ def recommend_threshold(
             )
             for query in workload:
                 planned = optimizer.optimize(query)
-                ctx = ExecutionContext(database)
-                planned.plan.execute(ctx)
+                _, ctx = run_plan(planned.plan, database)
                 times[threshold].append(model.time_from_counters(ctx.counters))
 
     profiles = {

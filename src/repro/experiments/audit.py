@@ -1,10 +1,10 @@
 """Cardinality auditing: estimated vs. actual rows per plan operator.
 
 The paper's whole premise is that estimates are uncertain; this module
-makes the error observable. :func:`audit_plan` executes every subtree
-of a planned query and reports, per operator, the optimizer's estimate
-next to the actual output cardinality and their q-error — an
-``EXPLAIN ANALYZE`` for the simulated engine.
+makes the error observable. :func:`audit_plan` executes a planned
+query once and reports, per operator, the optimizer's estimate next to
+the actual output cardinality its execution profile recorded and their
+q-error — an ``EXPLAIN ANALYZE`` for the simulated engine.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog import Database
-from repro.engine import ExecutionContext, PhysicalOperator
+from repro.engine import PhysicalOperator, run_plan
 from repro.obs.trace import QERROR_FLOOR
 from repro.optimizer import PlannedQuery
 
@@ -37,22 +37,22 @@ class AuditEntry:
 
 
 def audit_plan(planned: PlannedQuery, database: Database) -> list[AuditEntry]:
-    """Execute every subtree of ``planned`` and collect audit entries.
+    """Execute ``planned`` once and collect audit entries.
 
-    Subtrees are re-executed independently (cheap for the shallow SPJ
-    plans this optimizer emits), so the plan itself is not modified.
-    Entries are returned in pre-order, matching ``explain()`` layout.
+    Actual rows come from the execution's profile, so the plan itself
+    is not modified. Entries are returned in pre-order, matching
+    ``explain()`` layout.
     """
+    _, ctx = run_plan(planned.plan, database)
     entries: list[AuditEntry] = []
 
     def visit(operator: PhysicalOperator, depth: int) -> None:
-        frame = operator.execute(ExecutionContext(database))
         entries.append(
             AuditEntry(
                 label=operator.label(),
                 depth=depth,
                 estimated_rows=operator.est_rows,
-                actual_rows=frame.num_rows,
+                actual_rows=ctx.profile.rows(operator),
             )
         )
         for child in operator.children():

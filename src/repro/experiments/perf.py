@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 from repro.catalog import Database
 from repro.cost import CostModel
-from repro.engine import ExecOptions, ExecutionContext, PhysicalOperator, ScanCache
+from repro.engine import (
+    ExecOptions,
+    ExecutionContext,
+    OperatorRun,
+    PhysicalOperator,
+    ScanCache,
+)
 
 
 @dataclass
@@ -217,6 +223,19 @@ class PlanExecutionCache:
         plan: PhysicalOperator,
     ) -> tuple[float, int]:
         """Execute ``plan`` (or reuse), returning ``(time, rows)``."""
+        simulated, rows, _ = self.execute_profiled(database, cost_model, key, plan)
+        return simulated, rows
+
+    def execute_profiled(
+        self,
+        database: Database,
+        cost_model: CostModel,
+        key,
+        plan: PhysicalOperator,
+    ) -> tuple[float, int, list[OperatorRun]]:
+        """Like :meth:`execute`, plus the execution's per-operator
+        profile in ``plan.walk()`` order (kept with the cached result,
+        so a hit re-executes nothing)."""
         if self.enabled:
             cache_key = (key, plan.signature())
             cached = self._store.get(cache_key)
@@ -227,8 +246,12 @@ class PlanExecutionCache:
         if self.scan_cache and self._scans is None:
             self._scans = ScanCache()
         ctx = ExecutionContext(database, ExecOptions(scan_cache=self._scans))
-        frame = plan.execute(ctx)
-        result = (cost_model.time_from_counters(ctx.counters), frame.num_rows)
+        frame = ctx.run(plan)
+        result = (
+            cost_model.time_from_counters(ctx.counters),
+            frame.num_rows,
+            ctx.profile.preorder(plan),
+        )
         if self.enabled:
             self._store[cache_key] = result
         return result

@@ -389,7 +389,8 @@ def _run_seed(
     trace records ride back to the coordinator alongside the run
     records (sinks never enter worker processes). Tracing does not
     change the records: the spans are read-only observations, and the
-    per-operator work breakdown re-executes subtrees in fresh contexts.
+    per-operator work breakdown is read from the execution profile the
+    plan-execution cache keeps with each result.
     """
     perf = PerfStats(execution_cache=execution_cache, scan_cache=scan_cache)
     tracer = Tracer() if trace else None
@@ -497,7 +498,7 @@ def _run_seed(
 
             hits_before = cache.hits
             started = time.perf_counter()
-            simulated, actual_rows = cache.execute(
+            simulated, actual_rows, runs = cache.execute_profiled(
                 database, cost_model, param, plan
             )
             exec_elapsed = time.perf_counter() - started
@@ -532,6 +533,7 @@ def _run_seed(
                             estimated_rows=pending["estimated_rows"],
                             estimated_cost=pending["estimated_cost"],
                             cache_hit=cache.hits > hits_before,
+                            runs=runs,
                         ),
                         timing={
                             "optimize_seconds": pending["optimize_seconds"],

@@ -142,10 +142,17 @@ class SessionFeedback:
         estimated_rows: float | None,
         actual_rows: int,
         statistics_version: int,
+        profile=None,
     ) -> None:
-        """Harvest one executed plan and ledger its plan-level q-error."""
+        """Harvest one executed plan and ledger its plan-level q-error.
+
+        ``profile`` is the execution's ``ctx.profile``: the observed
+        cardinalities are read from it (see :func:`harvest_plan`).
+        """
         namespace = self.namespace_for_version(statistics_version)
-        harvest_plan(self.store, namespace, query, plan, database)
+        harvest_plan(
+            self.store, namespace, query, plan, database, profile=profile
+        )
         self.observations += 1
         error = q_error(estimated_rows, actual_rows)
         if error is not None:

@@ -12,10 +12,11 @@ records are byte-identical to the lookups the next prepare performs.
 
 Two entry points:
 
-* :func:`harvest_plan` — re-executes the topmost relational operator
-  per distinct table set of an executed plan (the same deterministic
-  subtree re-execution the tracing layer's ``operator_spans`` uses)
-  and records each observed cardinality;
+* :func:`harvest_plan` — reads the observed cardinality of the topmost
+  relational operator per distinct table set from the execution
+  profile the plan's one real run recorded (the same
+  :class:`~repro.engine.ExecutionProfile` the tracing layer's spans
+  are built from) and records each one;
 * :func:`harvest_traces` — replays archived trace records (the
   experiment runner's output) through the per-operator execution
   spans, which since this release carry their covered ``tables``.
@@ -28,19 +29,18 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.catalog import Database
 from repro.engine import (
-    ExecutionContext,
+    ExecutionProfile,
     HashAggregate,
     Limit,
     PhysicalOperator,
     Sort,
+    run_plan,
 )
 from repro.expressions import Expr, conjunction, expr_key, predicates_by_table
 from repro.feedback.store import FeedbackStore
-from repro.obs.execution import operator_tables
+from repro.obs.execution import _scalar, operator_tables
 from repro.optimizer import SPJQuery
 
 #: Operators whose output cardinality is not the SPJ result over their
@@ -69,16 +69,23 @@ def predicate_for_tables(
 
 
 def plan_observations(
-    query: SPJQuery, plan: PhysicalOperator, database: Database
+    query: SPJQuery,
+    plan: PhysicalOperator,
+    database: Database,
+    *,
+    profile: ExecutionProfile | None = None,
 ) -> list[dict]:
     """Observed cardinalities from one executed plan.
 
     Walks the plan pre-order and, for the *topmost* relational
-    operator of each distinct table set, re-executes the subtree in a
-    fresh context (deterministic, so "re-executing" is just reading
-    the true cardinality) and emits one observation dict:
+    operator of each distinct table set, reads its output rows from
+    ``profile`` — the profile of the execution that already ran
+    (``ctx.profile``) — and emits one observation dict:
     ``{"tables", "predicate_key", "observed_rows", "estimated_rows"}``.
+    Without a profile the plan is executed once here to record one.
     """
+    if profile is None:
+        profile = run_plan(plan, database)[1].profile
     observations: list[dict] = []
     seen: set[frozenset[str]] = set()
     for op in plan.walk():
@@ -88,21 +95,13 @@ def plan_observations(
         if not tables or tables in seen:
             continue
         seen.add(tables)
-        ctx = ExecutionContext(database)
-        observed = op.execute(ctx).num_rows
-        estimated = op.est_rows
-        if isinstance(estimated, np.ndarray):
-            flat = estimated.reshape(-1)
-            estimated = float(flat[0]) if flat.size == 1 else None
-        elif estimated is not None:
-            estimated = float(estimated)
         predicate = predicate_for_tables(query, tables)
         observations.append(
             {
                 "tables": tuple(sorted(tables)),
                 "predicate_key": expr_key(predicate),
-                "observed_rows": float(observed),
-                "estimated_rows": estimated,
+                "observed_rows": float(profile.rows(op)),
+                "estimated_rows": _scalar(op.est_rows),
             }
         )
     return observations
@@ -114,9 +113,15 @@ def harvest_plan(
     query: SPJQuery,
     plan: PhysicalOperator,
     database: Database,
+    *,
+    profile: ExecutionProfile | None = None,
 ) -> int:
-    """Record every observation of one executed plan; returns count."""
-    observations = plan_observations(query, plan, database)
+    """Record every observation of one executed plan; returns count.
+
+    ``profile`` is the execution's ``ctx.profile``; see
+    :func:`plan_observations`.
+    """
+    observations = plan_observations(query, plan, database, profile=profile)
     for obs in observations:
         store.record(
             namespace,

@@ -1,22 +1,23 @@
 """Execution provenance: per-operator work breakdown and accuracy.
 
-The engine charges all work into one shared
-:class:`~repro.engine.counters.WorkCounters`, which keeps execution
-fast but loses attribution. When tracing is on we can afford to buy
-the attribution back: the simulated engine is deterministic, so
-executing each subtree in its own fresh context and subtracting the
-children's totals yields each operator's *own* work exactly — an
-``EXPLAIN ANALYZE`` with a physical-work breakdown instead of just
-row counts. This re-execution only happens on the tracing path; the
-measured run that produces the experiment's records is untouched.
+Every plan execution records an :class:`~repro.engine.ExecutionProfile`
+on its context as it runs: each operator's output rows, the counters
+charged while its subtree ran and its wall time. An operator's *own*
+work is its subtree's figure minus its children's, so the spans built
+here are an ``EXPLAIN ANALYZE`` with a physical-work breakdown instead
+of just row counts — read from the one real execution, never from a
+re-execution. Per-operator wall time is the only non-deterministic
+field and lives under each span's ``"timing"`` key.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.catalog import Database
-from repro.engine import ExecutionContext, PhysicalOperator
+from repro.engine import OperatorRun, PhysicalOperator, run_plan
 from repro.engine.counters import WorkCounters
 from repro.obs.trace import plan_shape, q_error
 
@@ -59,45 +60,55 @@ def operator_tables(op: PhysicalOperator) -> frozenset[str]:
     return frozenset(tables)
 
 
-def operator_spans(
-    plan: PhysicalOperator, database: Database
-) -> tuple[list[dict], WorkCounters, int]:
-    """Per-operator provenance for one plan, in pre-order.
+def profile_spans(
+    plan: PhysicalOperator, runs: Sequence[OperatorRun]
+) -> list[dict]:
+    """Per-operator provenance spans of one profiled execution, pre-order.
 
-    Returns ``(spans, root_counters, root_rows)``. Each span carries
-    the operator's label, depth, the base tables its subtree covers,
-    estimated vs. actual rows with per-operator Q-error, and its
-    **own** work — the counters of its subtree minus its children's
-    subtrees, so summing ``counters`` over all spans reproduces the
-    plan's total work.
+    ``runs`` are the plan's :class:`~repro.engine.OperatorRun` entries
+    in ``plan.walk()`` order (:meth:`ExecutionProfile.preorder`). Each
+    span carries the operator's label, depth, the base tables its
+    subtree covers, estimated vs. actual rows with per-operator
+    Q-error, and its **own** work — its subtree's counters minus its
+    children's, so summing ``counters`` over all spans reproduces the
+    plan's total work. Own wall time goes under ``"timing"``.
     """
     spans: list[dict] = []
+    pending = iter(runs)
 
-    def visit(op: PhysicalOperator, depth: int) -> tuple[WorkCounters, int]:
-        ctx = ExecutionContext(database)
-        rows = op.execute(ctx).num_rows
-        total = ctx.counters
+    def visit(op: PhysicalOperator, depth: int) -> OperatorRun:
+        run = next(pending)
         estimated = _scalar(op.est_rows)
         span = {
             "operator": op.label(),
             "depth": depth,
             "tables": sorted(operator_tables(op)),
             "estimated_rows": estimated,
-            "actual_rows": rows,
-            "q_error": q_error(estimated, rows),
+            "actual_rows": run.rows,
+            "q_error": q_error(estimated, run.rows),
         }
         spans.append(span)
-        own = total.copy()
-        for child in op.children():
-            child_total, _ = visit(child, depth + 1)
-            for name, value in child_total.as_dict().items():
-                setattr(own, name, getattr(own, name) - value)
+        children = [visit(child, depth + 1) for child in op.children()]
+        own, own_ns = run.own(children)
         span["counters"] = own.as_dict()
         span["own_work"] = own.total_work()
-        return total, rows
+        span["timing"] = {"wall_seconds": own_ns / 1e9}
+        return run
 
-    root_counters, root_rows = visit(plan, 0)
-    return spans, root_counters, root_rows
+    visit(plan, 0)
+    return spans
+
+
+def operator_spans(
+    plan: PhysicalOperator, database: Database
+) -> tuple[list[dict], WorkCounters, int]:
+    """Execute ``plan`` once and return its per-operator spans.
+
+    Returns ``(spans, root_counters, root_rows)``; see
+    :func:`profile_spans` for the span contents.
+    """
+    frame, ctx = run_plan(plan, database)
+    return profile_spans(plan, ctx.profile.preorder(plan)), ctx.counters, frame.num_rows
 
 
 def execution_span(
@@ -111,6 +122,7 @@ def execution_span(
     estimated_cost: float | None = None,
     cache_hit: bool = False,
     wall_seconds: float | None = None,
+    runs: Sequence[OperatorRun] | None = None,
 ) -> dict:
     """The execution span of one query trace.
 
@@ -118,8 +130,17 @@ def execution_span(
     ``actual_rows`` for the plan-level accuracy verdict: the Q-error
     ``max(est/actual, actual/est)`` plus explicit under/over flags
     (both ``False`` when the estimate was exact or absent).
+
+    ``runs`` is the pre-order profile of the execution that produced
+    ``simulated_seconds`` and ``actual_rows``
+    (:meth:`ExecutionProfile.preorder`); without it the plan is
+    executed once here to obtain one.
     """
-    spans, counters, _ = operator_spans(plan, database)
+    if runs is None:
+        spans, counters, _ = operator_spans(plan, database)
+    else:
+        spans = profile_spans(plan, runs)
+        counters = runs[0].counters
     estimated_rows = _scalar(estimated_rows)
     estimated_cost = _scalar(estimated_cost)
     error = q_error(estimated_rows, actual_rows)

@@ -221,10 +221,10 @@ def explain_trace(records: list[dict], query: str) -> str:
     operators = execution.get("operators") or []
     if operators:
         lines.append("")
-        lines.append("execution breakdown (own work per operator):")
+        lines.append("execution breakdown (own work and wall ms per operator):")
         lines.append(
             f"  {'operator':<56} {'est rows':>10} {'actual':>8} "
-            f"{'q-err':>6} {'work':>12}"
+            f"{'q-err':>6} {'work':>12} {'ms':>8}"
         )
         for op in operators:
             label = "  " * op.get("depth", 0) + op.get("operator", "?")
@@ -232,8 +232,10 @@ def explain_trace(records: list[dict], query: str) -> str:
             est_text = f"{est:10.1f}" if est is not None else f"{'-':>10}"
             err = op.get("q_error")
             err_text = f"{err:6.2f}" if err is not None else f"{'-':>6}"
+            wall = (op.get("timing") or {}).get("wall_seconds")
+            wall_text = f"{wall * 1e3:8.3f}" if wall is not None else f"{'-':>8}"
             lines.append(
                 f"  {label:<56} {est_text} {op.get('actual_rows', 0):>8} "
-                f"{err_text} {op.get('own_work', 0):>12.1f}"
+                f"{err_text} {op.get('own_work', 0):>12.1f} {wall_text}"
             )
     return "\n".join(lines)

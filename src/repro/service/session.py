@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -383,6 +384,8 @@ class Session:
         # internally locked with singleflight misses, so concurrent
         # executors share leaf materializations safely.
         self._scan_cache = ScanCache()
+        # Estimators wired to _note_fallback_estimate (see _listen).
+        self._listening: weakref.WeakSet = weakref.WeakSet()
         self._closed = False
         # Degraded-mode state machine: HEALTHY until a degradation is
         # recorded, back to HEALTHY on a successful attach/refresh.
@@ -679,7 +682,7 @@ class Session:
                     prior=self.config.prior,
                     policy=self.config.resolved_threshold,
                 )
-                estimator.fallback_listener = self._note_fallback_estimate
+                self._listen(estimator)
                 if self._feedback is not None:
                     # Fenced to this snapshot's epoch: the provider
                     # refuses observations harvested under any other
@@ -721,8 +724,15 @@ class Session:
             if self.config.estimator == "robust"
             else MODERATE,
         )
-        estimator.fallback_listener = self._note_fallback_estimate
+        self._listen(estimator)
         return estimator
+
+    def _listen(self, estimator: RobustCardinalityEstimator) -> None:
+        """Wire the fallback hook; :meth:`close` detaches it again, so
+        the estimator → session reference does not keep a closed session
+        alive in a cycle."""
+        estimator.fallback_listener = self._note_fallback_estimate
+        self._listening.add(estimator)
 
     def _shared_estimator(self, state: _StatsState) -> CardinalityEstimator:
         # Benign race: two threads may both build; last write wins and
@@ -1044,7 +1054,7 @@ class Session:
             self.database, ExecOptions(scan_cache=self._scan_cache)
         )
         started = time.perf_counter()
-        frame = prepared.plan.execute(ctx)
+        frame = ctx.run(prepared.plan)
         wall = time.perf_counter() - started
         simulated = self.cost_model.time_from_counters(ctx.counters)
         if self._feedback is not None and prepared.degraded_reason is None:
@@ -1059,6 +1069,7 @@ class Session:
                 estimated_rows=prepared.estimated_rows,
                 actual_rows=frame.num_rows,
                 statistics_version=prepared.statistics_version,
+                profile=ctx.profile,
             )
         self.metrics.counter(
             "repro_session_executes_total", "Statements executed."
@@ -1113,7 +1124,7 @@ class Session:
         execution = None
         if execute:
             ctx = ExecutionContext(self.database)
-            frame = planned.plan.execute(ctx)
+            frame = ctx.run(planned.plan)
             simulated = self.cost_model.time_from_counters(ctx.counters)
             execution = execution_span(
                 planned.plan,
@@ -1123,6 +1134,7 @@ class Session:
                 actual_rows=frame.num_rows,
                 estimated_rows=planned.estimated_rows,
                 estimated_cost=planned.estimated_cost,
+                runs=ctx.profile.preorder(planned.plan),
             )
         return QueryTrace(
             template=label or "session",
@@ -1242,10 +1254,15 @@ class Session:
             raise SessionError("session is closed")
 
     def close(self) -> None:
-        """Release cached plans; further use raises ``SessionError``."""
+        """Release cached plans and scans and detach the estimators'
+        fallback hook; further use raises ``SessionError``."""
         self.cache_stats()  # final metrics snapshot
         self.plan_cache.clear()
         self._parse_cache.clear()
+        self._scan_cache.clear()
+        for estimator in list(self._listening):
+            estimator.fallback_listener = None
+        self._listening.clear()
         self._closed = True
 
     def __enter__(self) -> "Session":

@@ -4,11 +4,12 @@ The zero-copy refactor changed how operators build their output frames
 (selection vectors instead of copies) and added a shared scan cache.
 Neither may disturb the observability layer:
 
-1. ``operator_spans`` re-executes each subtree in a fresh context to
-   attribute work per operator; with lazy frames the subtraction
-   arithmetic must still be exact — own-work non-negative everywhere
-   and the spans summing to the root totals — and the attribution must
-   be identical whether the *measured* run used a scan cache or not.
+1. ``operator_spans`` attributes work per operator from the execution
+   profile (each operator's subtree counters minus its children's);
+   with lazy frames the subtraction arithmetic must still be exact —
+   own-work non-negative everywhere and the spans summing to the root
+   totals — and the attribution must be identical whether the
+   *measured* run used a scan cache or not.
 2. The ``ChaosHarness`` invariants (executable-plan, fallback-envelope,
    cache-versioning, degradation-attributed) must keep passing with
    zero-copy operators as the engine default.

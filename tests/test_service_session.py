@@ -8,8 +8,10 @@ cached plans are byte-identical to what a hand-wired optimizer
 produces from the same statistics.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -270,6 +272,27 @@ class TestLifecycle:
         with Session(db, sample_size=200) as session:
             session.prepare(QUERY)
         assert session._closed
+
+    def test_close_empties_the_scan_cache(self, db):
+        session = Session(db, sample_size=200)
+        session.execute(JOIN_QUERY)
+        assert session._scan_cache.stats()["entries"] > 0
+        session.close()
+        assert session._scan_cache.stats()["entries"] == 0
+
+    def test_closed_session_is_freed_without_the_cycle_collector(self, db):
+        statistics = StatisticsManager(db)
+        statistics.update_statistics(sample_size=200, seed=11)
+        session = Session(db, statistics=statistics)
+        session.execute(JOIN_QUERY)
+        session.close()
+        ref = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_metrics_track_prepares_by_outcome(self, session):
         session.prepare(QUERY)
