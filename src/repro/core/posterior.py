@@ -79,9 +79,9 @@ class SelectivityPosterior:
 
         Bit-identical to calling :meth:`ppf` per threshold
         (``betaincinv`` is a ufunc evaluated elementwise either way),
-        but amortized: the whole ``(n + 1) × |thresholds|`` table is
-        computed once per (sample size, prior, grid) and every
-        subsequent inversion is a row lookup on the observed ``k``.
+        but amortized: each row of the ``(n + 1) × |thresholds|`` table
+        is computed once per (sample size, prior, grid), on its first
+        lookup, and every later inversion at that ``k`` is a dict hit.
         """
         return quantile_table(self.n, self.prior, thresholds).row(self.k)
 
@@ -128,21 +128,27 @@ class SelectivityPosterior:
 
 
 class BetaQuantileTable:
-    """Precomputed beta quantiles for every possible sample count.
+    """Beta quantiles for every possible sample count, row by row.
 
     For a fixed sample size ``n``, prior ``(a, b)``, and threshold grid
     ``(t_0, …, t_{m-1})``, the satisfying count ``k`` is an *integer*
     in ``[0, n]`` — so every posterior the estimator can form over that
-    sample is one of ``n + 1`` Beta distributions. The table holds
+    sample is one of ``n + 1`` Beta distributions. Row ``k`` holds
 
         ``Q[k, j] = betaincinv(k + a, n − k + b, t_j)``,
 
-    turning each posterior inversion into an O(1) row lookup instead
-    of a ``betaincinv`` call. ``betaincinv`` is a ufunc, so the bulk
-    evaluation produces bit-identical values to scalar calls.
+    turning each posterior inversion into a row lookup instead of a
+    ``betaincinv`` call. Rows are computed on first lookup and then
+    memoized: a grid that is unique to one query (a penalty policy's
+    content-seeded sample grid) pays only for the counts it reads, not
+    for all ``n + 1``. ``betaincinv`` is a ufunc, so each row is
+    bit-identical to scalar calls and to a bulk 2-D evaluation.
+    Memoized rows are read-only, so concurrent readers can share them;
+    two threads racing on the same new row compute equal values and
+    either result may be kept.
     """
 
-    __slots__ = ("n", "thresholds", "table")
+    __slots__ = ("n", "thresholds", "_a", "_b", "_grid", "_rows")
 
     def __init__(
         self, n: int, prior: Prior, thresholds: tuple[float, ...]
@@ -156,18 +162,32 @@ class BetaQuantileTable:
             raise EstimationError("confidence threshold must lie strictly in (0, 1)")
         self.n = int(n)
         self.thresholds = tuple(float(t) for t in grid)
-        k = np.arange(self.n + 1, dtype=float)
-        alpha = k + prior.alpha
-        beta = self.n - k + prior.beta
-        self.table = scipy_special.betaincinv(
-            alpha[:, None], beta[:, None], grid[None, :]
-        )
+        self._a = prior.alpha
+        self._b = prior.beta
+        self._grid = grid
+        self._rows: dict[int, np.ndarray] = {}
 
     def row(self, k: int) -> np.ndarray:
         """Quantiles at every threshold for ``k`` satisfying tuples."""
         if not 0 <= k <= self.n:
             raise EstimationError(f"satisfying count k={k} outside [0, {self.n}]")
-        return self.table[int(k)]
+        k = int(k)
+        row = self._rows.get(k)
+        if row is None:
+            # Same float operands as a bulk evaluation over
+            # ``arange(n + 1)``: ``float(k) + a`` and ``n - float(k) + b``.
+            count = float(k)
+            row = scipy_special.betaincinv(
+                count + self._a, self.n - count + self._b, self._grid
+            )
+            row.flags.writeable = False
+            self._rows[k] = row
+        return row
+
+    @property
+    def table(self) -> np.ndarray:
+        """The full ``(n + 1) × m`` table, stacked through :meth:`row`."""
+        return np.stack([self.row(k) for k in range(self.n + 1)])
 
 
 #: Process-wide table cache. Tables depend only on (sample size, prior,

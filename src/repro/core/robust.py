@@ -19,7 +19,7 @@ The sample counts ``(k, n)`` are threshold-independent — only the
 final ``cdf⁻¹(T)`` inversion changes with ``T`` — so
 :meth:`RobustCardinalityEstimator.estimate_many` prices a whole
 threshold grid from one synopsis pass, reading the inversions out of a
-precomputed :class:`~repro.core.posterior.BetaQuantileTable` row.
+memoized :class:`~repro.core.posterior.BetaQuantileTable` row.
 """
 
 from __future__ import annotations

@@ -128,7 +128,8 @@ class AccuracyLedger:
         self._window_size = int(window)
         self._baseline_size = int(baseline)
         self._classes: dict[str, _ClassSeries] = {}
-        self._on_degradation = on_degradation
+        #: Drift-event callback; assignable (``None`` detaches it).
+        self.on_degradation = on_degradation
         self.events: list[DegradationEvent] = []
         self._qerror_gauge = None
         self._drift_gauge = None
@@ -200,8 +201,9 @@ class AccuracyLedger:
                 )
                 self.events.append(event)
             self._publish_locked(query_class, series)
-        if event is not None and self._on_degradation is not None:
-            self._on_degradation(event)
+        callback = self.on_degradation
+        if event is not None and callback is not None:
+            callback(event)
         return event
 
     # ------------------------------------------------------------------

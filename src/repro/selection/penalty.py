@@ -89,16 +89,28 @@ def select_index(
 
 
 def penalty_summary(penalties: np.ndarray) -> list[dict]:
-    """JSON-ready per-plan penalty distributions for trace spans."""
+    """JSON-ready per-plan penalty distributions for trace spans.
+
+    A lane can cost ``inf`` (a masked join orientation), and linear
+    interpolation between infinite neighbours yields ``inf - inf =
+    NaN``. Such a percentile is the upper neighbour itself: ``inf`` when
+    it is interpolated toward an infinite value, the exact order
+    statistic when the percentile lands on one (numpy's ``"higher"``
+    method picks exactly that element).
+    """
     penalties = np.asarray(penalties, dtype=float)
-    out = []
-    for row in penalties:
-        out.append(
-            {
-                "mean": float(row.mean()),
-                "p50": float(np.percentile(row, 50)),
-                "p90": float(np.percentile(row, 90)),
-                "max": float(row.max()),
-            }
-        )
-    return out
+    with np.errstate(invalid="ignore"):
+        percentiles = np.percentile(penalties, [50, 90], axis=1)
+    undefined = np.isnan(percentiles)
+    if undefined.any():
+        higher = np.percentile(penalties, [50, 90], axis=1, method="higher")
+        percentiles[undefined] = higher[undefined]
+    return [
+        {
+            "mean": float(row.mean()),
+            "p50": float(p50),
+            "p90": float(p90),
+            "max": float(row.max()),
+        }
+        for row, p50, p90 in zip(penalties, *percentiles)
+    ]

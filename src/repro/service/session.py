@@ -1255,7 +1255,8 @@ class Session:
 
     def close(self) -> None:
         """Release cached plans and scans and detach the estimators'
-        fallback hook; further use raises ``SessionError``."""
+        fallback hook and the feedback ledger's drift hook; further use
+        raises ``SessionError``."""
         self.cache_stats()  # final metrics snapshot
         self.plan_cache.clear()
         self._parse_cache.clear()
@@ -1263,6 +1264,8 @@ class Session:
         for estimator in list(self._listening):
             estimator.fallback_listener = None
         self._listening.clear()
+        if self._feedback is not None:
+            self._feedback.ledger.on_degradation = None
         self._closed = True
 
     def __enter__(self) -> "Session":

@@ -132,8 +132,14 @@ class EquiDepthHistogram:
         if hi < lo or (hi == lo and not (low_inclusive and high_inclusive)):
             return 0.0
         lowers = self._bucket_lowers()
+        # Only buckets the range overlaps can contribute: those from the
+        # first whose upper bound reaches ``lo`` through the last whose
+        # lower bound does not pass ``hi`` ("right", so a first bucket
+        # holding only the column minimum still counts at ``hi == min``).
+        first = int(np.searchsorted(self.uppers, lo, side="left"))
+        last = int(np.searchsorted(lowers, hi, side="right"))
         total = 0.0
-        for i in range(self.num_buckets):
+        for i in range(first, last):
             b_lo = lowers[i] if i > 0 else self.minimum
             b_hi = self.uppers[i]
             boundary = float(self.boundary_counts[i])

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as scipy_special
+
+import repro.core.posterior as posterior_module
 
 from repro.core import (
     JEFFREYS,
@@ -132,10 +135,10 @@ class TestPaperFigure4Claims:
 
 
 class TestQuantileTable:
-    """The precomputed beta-quantile table must agree with ``ppf``.
+    """The row-memoized beta-quantile table must agree with ``ppf``.
 
-    ``betaincinv`` is a ufunc, so the bulk table evaluation and the
-    scalar ``ppf`` path are the same elementwise computation — the
+    ``betaincinv`` is a ufunc, so the row evaluation and the scalar
+    ``ppf`` path are the same elementwise computation — the
     agreement below is exact equality, not approximate.
     """
 
@@ -180,6 +183,58 @@ class TestQuantileTable:
         b = quantile_table(64, JEFFREYS, (0.2, 0.8))
         assert a is b
         assert a is not quantile_table(64, UNIFORM, (0.2, 0.8))
+
+    #: Jeffreys with observed pseudo-counts folded in, the shape
+    #: ``FeedbackProvider.adjusted_prior`` produces.
+    FOLDED = Prior(
+        JEFFREYS.alpha + 16 * 0.37, JEFFREYS.beta + 16 * 0.63,
+        name="jeffreys+feedback",
+    )
+
+    @pytest.mark.parametrize(
+        "prior", [JEFFREYS, UNIFORM, FOLDED],
+        ids=["jeffreys", "uniform", "feedback"],
+    )
+    @pytest.mark.parametrize("n", [1, 100, 2000])
+    def test_lazy_rows_equal_the_eager_bulk_table(self, n, prior):
+        """Every memoized row equals the whole-grid 2-D ``betaincinv``
+        evaluation the table used to precompute, bit for bit."""
+        grid = tuple(np.sort(np.random.default_rng(n).uniform(0.001, 0.999, 33)))
+        k = np.arange(n + 1, dtype=float)
+        eager = scipy_special.betaincinv(
+            (k + prior.alpha)[:, None],
+            (n - k + prior.beta)[:, None],
+            np.asarray(grid)[None, :],
+        )
+        table = BetaQuantileTable(n, prior, grid)
+        for count in np.random.default_rng(0).permutation(n + 1):
+            assert np.array_equal(table.row(int(count)), eager[count])
+        assert np.array_equal(table.table, eager)
+
+    def test_lookup_evaluates_only_the_requested_row(self, monkeypatch):
+        evaluated = []
+
+        class CountingSpecial:
+            @staticmethod
+            def betaincinv(a, b, t):
+                out = scipy_special.betaincinv(a, b, t)
+                evaluated.append(np.size(out))
+                return out
+
+        monkeypatch.setattr(posterior_module, "scipy_special", CountingSpecial)
+        table = BetaQuantileTable(2000, JEFFREYS, self.GRID)
+        assert evaluated == []  # construction computes nothing
+        first = table.row(17)
+        assert evaluated == [len(self.GRID)]
+        assert table.row(17) is first  # memoized: no second evaluation
+        table.row(1999)
+        assert evaluated == [len(self.GRID)] * 2
+
+    def test_rows_are_read_only(self):
+        row = quantile_table(300, JEFFREYS, self.GRID).row(5)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.5
 
     def test_validation(self):
         with pytest.raises(EstimationError):

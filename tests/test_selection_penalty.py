@@ -11,6 +11,8 @@ The edge-case contract the PARQO arm pins down:
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from repro.core import RobustCardinalityEstimator
 from repro.errors import OptimizationError
 from repro.optimizer import Optimizer
+from repro.service import Session
 from repro.selection import (
     PenaltyPolicy,
     cvar_tail_count,
@@ -112,6 +115,49 @@ class TestPenaltySummary:
         assert [row["mean"] for row in out] == [2.0, 1.0]
         assert out[0]["max"] == 4.0
         assert set(out[1]) == {"mean", "p50", "p90", "max"}
+
+    def test_infinite_lanes_give_inf_not_nan(self):
+        """A masked join orientation costs ``inf`` in some lanes; linear
+        interpolation between infinite neighbours must not turn the
+        summary into ``inf - inf = NaN``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = penalty_summary(np.array([
+                [0.0, 1.0, math.inf, math.inf],
+                [0.0, 1.0, 5.0, math.inf],
+                [0.0, 1.0, math.inf, 0.0],
+            ]))
+        assert out[0]["p50"] == math.inf and out[0]["p90"] == math.inf
+        assert out[1]["p50"] == 3.0 and out[1]["p90"] == math.inf
+        # p50 of three values lands on the order statistic 1.0 exactly
+        assert penalty_summary(np.array([[0.0, 1.0, math.inf]]))[0]["p50"] == 1.0
+        assert out[2]["p50"] == 0.5
+
+    def test_matches_per_row_percentiles_on_finite_rows(self):
+        penalties = np.random.default_rng(4).exponential(size=(6, 33))
+        out = penalty_summary(penalties)
+        for row, summary in zip(penalties, out):
+            assert summary["p50"] == float(np.percentile(row, 50))
+            assert summary["p90"] == float(np.percentile(row, 90))
+
+    def test_star_join_cvar_prepare_reports_no_nan(self, star_db):
+        """A star join whose finalists include infinite-cost lanes."""
+        sql = (
+            "SELECT SUM(fact.f_measure1) AS total1 FROM fact, dim1, dim2, dim3 "
+            "WHERE dim1.d_attr BETWEEN 100 AND 199 "
+            "AND dim2.d_attr BETWEEN 500 AND 599 "
+            "AND dim3.d_attr BETWEEN 800 AND 899"
+        )
+        with Session(
+            star_db, policy="cvar:0.9:32", sample_size=500, statistics_seed=3
+        ) as session:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                prepared = session.prepare(sql)
+        penalties = [plan["penalty"] for plan in prepared.selection["plans"]]
+        values = [v for summary in penalties for v in summary.values()]
+        assert not any(math.isnan(v) for v in values)
+        assert math.inf in values  # the infinite-lane case is exercised
 
 
 class TestOptimizePenalty:

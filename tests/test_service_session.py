@@ -294,6 +294,25 @@ class TestLifecycle:
         finally:
             gc.enable()
 
+    def test_closed_feedback_session_is_freed_without_the_cycle_collector(
+        self, db
+    ):
+        """The feedback ledger's drift hook is a bound method of the
+        session; ``close()`` must detach it like the fallback hook."""
+        statistics = StatisticsManager(db)
+        statistics.update_statistics(sample_size=200, seed=11)
+        session = Session(db, statistics=statistics)
+        session.enable_feedback()
+        session.execute(JOIN_QUERY)
+        session.close()
+        ref = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_metrics_track_prepares_by_outcome(self, session):
         session.prepare(QUERY)
         session.prepare(QUERY)
